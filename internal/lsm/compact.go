@@ -53,27 +53,30 @@ func (s *Store) compactorLoop() {
 	}
 }
 
-// mergeIter walks one input table key-group by key-group.
+// mergeIter walks one input table's in-memory index key-group by key-group.
 type mergeIter struct {
 	t   *table
 	cur indexCursor
 	e   indexEntry
+	ck  string // composite key of e
 	ok  bool
 }
 
 func newMergeIter(t *table) (*mergeIter, error) {
-	payload, err := t.indexPayload()
-	if err != nil {
-		return nil, err
-	}
-	it := &mergeIter{t: t, cur: indexCursor{b: payload}}
+	it := &mergeIter{t: t, cur: indexCursor{b: t.index}}
 	return it, it.advance()
 }
 
 func (it *mergeIter) advance() error {
 	ok, err := it.cur.next(&it.e)
+	if err != nil {
+		return it.t.indexErr(err)
+	}
 	it.ok = ok
-	return err
+	if ok {
+		it.ck = compositeKey(it.e.key)
+	}
+	return nil
 }
 
 // CompactNow runs one compaction pass synchronously: all current level-0
@@ -210,13 +213,13 @@ func (s *Store) mergeTables(inputs []*table, seq uint64) (TableMeta, error) {
 		// positioned on it.
 		minKey := ""
 		for _, it := range iters {
-			if ck := compositeKey(it.e.key); minKey == "" || ck < minKey {
-				minKey = ck
+			if minKey == "" || it.ck < minKey {
+				minKey = it.ck
 			}
 		}
 		var parts []*mergeIter
 		for _, it := range iters {
-			if compositeKey(it.e.key) == minKey {
+			if it.ck == minKey {
 				parts = append(parts, it)
 			}
 		}
@@ -227,7 +230,7 @@ func (s *Store) mergeTables(inputs []*table, seq uint64) (TableMeta, error) {
 		// Advance the participants; drop exhausted iterators.
 		liveIters := iters[:0]
 		for _, it := range iters {
-			if compositeKey(it.e.key) == minKey {
+			if it.ck == minKey {
 				if err := it.advance(); err != nil {
 					w.abort()
 					return TableMeta{}, err
@@ -254,7 +257,7 @@ func (s *Store) mergeTables(inputs []*table, seq uint64) (TableMeta, error) {
 }
 
 // mergeKey writes one key's merged records: the winning summary, then the
-// surviving detail.
+// surviving detail. Each participant's key group is read once.
 func (s *Store) mergeKey(w *tableWriter, parts []*mergeIter) error {
 	// Winner: newest input table holding a summary for the key.
 	var winner *mergeIter
@@ -266,17 +269,6 @@ func (s *Store) mergeKey(w *tableWriter, parts []*mergeIter) error {
 			winner = p
 		}
 	}
-	var horizon uint64
-	if winner != nil {
-		horizon = winner.e.horizon
-		rec, _, err := winner.t.readFrameAt(winner.e.dataOff)
-		if err != nil {
-			return err
-		}
-		if err := w.add(&rec); err != nil {
-			return err
-		}
-	}
 	// Surviving detail: above the winning horizon, not obsolete, one copy
 	// per LSN. An LSN's copies can disagree across tables — only the table
 	// whose flush saw the MarkObsolete carries the flag, an older table holds
@@ -284,22 +276,38 @@ func (s *Store) mergeKey(w *tableWriter, parts []*mergeIter) error {
 	// first and applied to whichever copy was kept. Keying the decision on
 	// iteration order instead would let the older live copy resurrect a
 	// withdrawn promise whose covering WAL mark has already been pruned.
+	var horizon uint64
+	if winner != nil {
+		horizon = winner.e.horizon
+	}
+	var summary *storage.WALRecord
 	var details []storage.WALRecord
 	seen := map[uint64]bool{}
 	obsolete := map[uint64]bool{}
 	for _, p := range parts {
-		off := p.e.dataOff
-		end := p.e.dataOff + p.e.dataLen
-		for off < end {
-			rec, next, err := p.t.readFrameAt(off)
+		b, err := p.t.region(p.e.dataOff, p.e.dataLen)
+		if err != nil {
+			return err
+		}
+		pos := 0
+		if p.e.flags&entryHasSummary != 0 {
+			if p == winner {
+				rec, n, err := p.t.groupSummary(b, p.e.dataOff)
+				if err != nil {
+					return err
+				}
+				summary, pos = &rec, n
+			} else if pos, err = frameLen(b); err != nil { // superseded: skip undecoded
+				return p.t.placed(err, p.e.dataOff)
+			}
+		}
+		for pos < len(b) {
+			rec, n, err := parseFrame(b[pos:])
 			if err != nil {
-				return err
+				return p.t.placed(err, p.e.dataOff+int64(pos))
 			}
-			off = next
-			if rec.Kind != storage.KindAppend {
-				continue
-			}
-			if rec.LSN <= horizon {
+			pos += n
+			if rec.Kind != storage.KindAppend || rec.LSN <= horizon {
 				continue
 			}
 			if rec.Obsolete {
@@ -311,6 +319,11 @@ func (s *Store) mergeKey(w *tableWriter, parts []*mergeIter) error {
 			}
 			seen[rec.LSN] = true
 			details = append(details, rec)
+		}
+	}
+	if summary != nil {
+		if err := w.add(summary); err != nil {
+			return err
 		}
 	}
 	live := details[:0]

@@ -113,7 +113,8 @@ var _ storage.Tiered = (*Store)(nil)
 
 // Open attaches the tiered store to its table directory: loads the
 // manifest, quarantines orphans, opens and validates every live table
-// (rebuilding missing bloom sidecars) and starts the background compactor.
+// (rebuilding missing bloom sidecars) and starts the background compactor,
+// signalling it at once when the level-0 backlog is already due.
 func Open(inner WALBackend, opts Options) (*Store, error) {
 	if opts.Dir == "" {
 		return nil, errors.New("lsm: Options.Dir must be set")
@@ -154,6 +155,11 @@ func Open(inner WALBackend, opts Options) (*Store, error) {
 		s.tables = append(s.tables, t)
 	}
 	s.nextSeq.Store(nextTableSeq(opts.Dir, man))
+	// A level-0 backlog left at the last Close is merged now, not at the
+	// next flush (compactCh is buffered).
+	if s.l0CountLocked() >= opts.CompactAfter {
+		s.compactCh <- struct{}{}
+	}
 	go s.compactorLoop()
 	return s, nil
 }
@@ -386,7 +392,7 @@ func (s *Store) LookupSummary(key entity.Key) (*storage.WALRecord, error) {
 			s.bloomSkips.Add(1)
 			continue
 		}
-		rec, err := t.lookupSummary(key)
+		rec, err := t.lookupSummary(ck)
 		if err == errNotFound {
 			s.bloomFalse.Add(1)
 			continue

@@ -92,7 +92,7 @@ func TestTableRoundTrip(t *testing.T) {
 	defer tb.close()
 
 	for i := 0; i < keys; i++ {
-		rec, err := tb.lookupSummary(testKey(i))
+		rec, err := tb.lookupSummary(compositeKey(testKey(i)))
 		if err != nil {
 			t.Fatalf("lookupSummary(%d): %v", i, err)
 		}
@@ -103,7 +103,7 @@ func TestTableRoundTrip(t *testing.T) {
 			t.Fatalf("key %d: balance %v, want %d", i, got, i)
 		}
 	}
-	if _, err := tb.lookupSummary(entity.Key{Type: "Account", ID: "missing"}); err != errNotFound {
+	if _, err := tb.lookupSummary(compositeKey(entity.Key{Type: "Account", ID: "missing"})); err != errNotFound {
 		t.Fatalf("absent key: %v, want errNotFound", err)
 	}
 

@@ -12,14 +12,21 @@
 //	             detailCount — all length-prefixed / uvarint
 //	footer:      uint64 indexOff | uint64 indexLen | uint64 keyCount |
 //	             uint32 CRC32 of the previous 24 bytes | 8-byte magic
-//	             "SSTFOOT\x01"   (fixed 44 bytes, little-endian)
+//	             "SSTFOOT\x01"   (fixed 36 bytes, little-endian)
 //
 // A table is written to a .tmp name, fsynced, renamed and the directory
 // synced — a crash leaves either a complete table or an ignorable temp file.
-// After open only a sparse in-memory index survives (every 16th key plus its
-// byte offset into the index block) alongside the bloom sidecar; lookups
-// re-read one index slice and one data frame, recovery re-reads the index
-// block and the detail frames but never the summary payloads of cold keys.
+//
+// Open reads and CRC-checks the index block once and keeps it in memory,
+// with a sparse index over it (every 16th key plus its offset in the block)
+// and the bloom sidecar. Every later use walks that copy, so a key group
+// costs at most one read of its data range [dataOff, dataOff+dataLen):
+// a lookup scans at most 16 in-memory entries without allocating, then reads
+// the summary frame; recovery emits a summary pointer from the index entry
+// alone and reads a key's data only when it has detail records; compaction
+// reads each input key's group once. region bounds every data read to the
+// data block, so a corrupt index entry is a typed error, never a read or an
+// allocation past it.
 package lsm
 
 import (
@@ -29,6 +36,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -46,9 +54,6 @@ var (
 const (
 	frameHeader = 8 // uint32 length + uint32 CRC
 	footerSize  = 8 + 8 + 8 + 4 + 8
-	// maxFrame mirrors the WAL's bound: a larger length prefix is corruption,
-	// not an allocation request.
-	maxFrame = 1 << 28
 	// sparseEvery is the in-memory index granularity: one retained entry per
 	// this many index-block entries.
 	sparseEvery = 16
@@ -95,48 +100,92 @@ func appendIndexEntry(b []byte, e *indexEntry) []byte {
 
 // indexCursor walks index-block entries sequentially.
 type indexCursor struct {
-	b   []byte
-	off int // byte offset of the next entry within the block
+	b        []byte
+	off      int    // byte offset of the next entry within the block
+	lastType string // the previous next's type string, shared by equal types
 }
 
-func (c *indexCursor) next(e *indexEntry) (bool, error) {
+// nextRaw decodes the next entry's numeric fields into e and returns its
+// type and id as slices of the block; e.key is left alone, so scanning
+// entries allocates nothing. Corruption is a *CorruptTableError at the
+// entry's offset within the block.
+func (c *indexCursor) nextRaw(e *indexEntry) (typ, id []byte, ok bool, err error) {
 	if len(c.b) == 0 {
-		return false, nil
+		return nil, nil, false, nil
 	}
-	start := len(c.b)
-	str := func() (string, error) {
-		n, w := binary.Uvarint(c.b)
-		if w <= 0 || uint64(len(c.b)-w) < n {
-			return "", errors.New("lsm: corrupt index entry")
+	typ, b, okType := lenPrefixed(c.b)
+	id, b, okID := lenPrefixed(b)
+	ok = okType && okID
+	var nums [5]uint64
+	for i := 0; ok && i < len(nums); i++ {
+		var w int
+		if nums[i], w = binary.Uvarint(b); w <= 0 {
+			ok = false
+		} else {
+			b = b[w:]
 		}
-		s := string(c.b[w : w+int(n)])
-		c.b = c.b[w+int(n):]
-		return s, nil
 	}
-	uv := func() (uint64, error) {
-		v, w := binary.Uvarint(c.b)
-		if w <= 0 {
-			return 0, errors.New("lsm: corrupt index entry")
-		}
-		c.b = c.b[w:]
-		return v, nil
+	if !ok {
+		return nil, nil, false, corruptAt(int64(c.off), "corrupt index entry")
 	}
-	var err error
-	if e.key.Type, err = str(); err != nil {
+	// A range past the int64 domain goes negative here; region rejects it.
+	e.flags, e.horizon, e.dataOff, e.dataLen, e.detailCount = nums[0], nums[1], int64(nums[2]), int64(nums[3]), nums[4]
+	c.off += len(c.b) - len(b)
+	c.b = b
+	return typ, id, true, nil
+}
+
+// lenPrefixed splits a uvarint-length-prefixed field off the front of b.
+func lenPrefixed(b []byte) (field, rest []byte, ok bool) {
+	n, w := binary.Uvarint(b)
+	if w <= 0 || uint64(len(b)-w) < n {
+		return nil, nil, false
+	}
+	end := w + int(n)
+	return b[w:end:end], b[end:], true
+}
+
+// next is nextRaw with the key copied out of the block into e.key.
+func (c *indexCursor) next(e *indexEntry) (bool, error) {
+	typ, id, ok, err := c.nextRaw(e)
+	if !ok {
 		return false, err
 	}
-	if e.key.ID, err = str(); err != nil {
-		return false, err
+	if string(typ) != c.lastType {
+		c.lastType = string(typ)
 	}
-	var dataOff, dataLen uint64
-	for _, dst := range []*uint64{&e.flags, &e.horizon, &dataOff, &dataLen, &e.detailCount} {
-		if *dst, err = uv(); err != nil {
-			return false, err
-		}
-	}
-	e.dataOff, e.dataLen = int64(dataOff), int64(dataLen)
-	c.off += start - len(c.b)
+	e.key = entity.Key{Type: c.lastType, ID: string(id)}
 	return true, nil
+}
+
+// compareRaw orders the entry (typ, id) against the composite key ck exactly
+// as compositeKey would, without building the entry's composite.
+func compareRaw(typ, id []byte, ck string) int {
+	if len(ck) <= len(typ) {
+		switch {
+		case string(typ[:len(ck)]) < ck:
+			return -1
+		case string(typ[:len(ck)]) > ck:
+			return 1
+		}
+		return 1 // ck is a proper prefix of typ + "\x00" + id
+	}
+	switch head := ck[:len(typ)]; {
+	case string(typ) < head:
+		return -1
+	case string(typ) > head:
+		return 1
+	}
+	if ck[len(typ)] != 0 {
+		return -1 // the entry's NUL separator sorts below any other byte
+	}
+	switch rest := ck[len(typ)+1:]; {
+	case string(id) < rest:
+		return -1
+	case string(id) > rest:
+		return 1
+	}
+	return 0
 }
 
 // appendFrame wraps an encoded record payload in the WAL's len+CRC framing.
@@ -324,14 +373,39 @@ func (w *tableWriter) abort() {
 // bloomName maps sst-0000000007.sst to sst-0000000007.blm.
 func bloomName(table string) string { return strings.TrimSuffix(table, ".sst") + ".blm" }
 
-// table is one open, immutable SSTable: a read-only file handle, the sparse
-// index and the bloom filter.
+// CorruptTableError reports table bytes that fail validation: a bad magic or
+// footer, an index or data frame whose length or CRC does not check, an
+// undecodable entry or record, or an index entry whose data range leaves the
+// data block.
+type CorruptTableError struct {
+	Table  string // table file name; empty when a bare buffer was checked
+	Offset int64  // file offset (buffer offset without a table) of the bad bytes
+	Reason string
+}
+
+func (e *CorruptTableError) Error() string {
+	return fmt.Sprintf("lsm: corrupt table: %s at %s+%d", e.Reason, e.Table, e.Offset)
+}
+
+func corruptAt(off int64, reason string) error {
+	return &CorruptTableError{Offset: off, Reason: reason}
+}
+
+// tableFile is a table's read handle. *os.File satisfies it; tests wrap it
+// to count reads.
+type tableFile interface {
+	io.ReaderAt
+	io.Closer
+}
+
+// table is one open, immutable SSTable: a read-only file handle, the
+// verified index block, the sparse index over it and the bloom filter.
 type table struct {
 	meta     TableMeta
-	f        *os.File
-	indexOff int64 // file offset of the index frame
-	indexLen int64 // bytes of the index frame (header + payload)
-	count    uint64
+	f        tableFile
+	indexOff int64  // file offset of the index frame; the data block ends here
+	count    uint64 // index entries, as the footer states and open verified
+	index    []byte // CRC-checked index payload
 	sparse   []sparseSlot
 	bloom    *bloomFilter
 }
@@ -343,8 +417,8 @@ type sparseSlot struct {
 	off int
 }
 
-// openTable validates the footer and index block, builds the sparse index
-// and loads (or rebuilds) the bloom sidecar.
+// openTable validates the footer and index block, keeps the index and its
+// sparse index in memory and loads (or rebuilds) the bloom sidecar.
 func openTable(dir string, meta TableMeta) (*table, error) {
 	path := filepath.Join(dir, meta.Name)
 	f, err := os.Open(path)
@@ -352,105 +426,125 @@ func openTable(dir string, meta TableMeta) (*table, error) {
 		return nil, fmt.Errorf("lsm: %w", err)
 	}
 	t := &table{meta: meta, f: f}
-	if err := t.init(dir); err != nil {
-		f.Close()
-		return nil, err
+	info, err := f.Stat()
+	if err == nil {
+		err = t.init(info.Size())
 	}
+	if err != nil {
+		f.Close()
+		return nil, t.placed(err, 0)
+	}
+	t.loadBloom(dir)
 	return t, nil
 }
 
-func (t *table) init(dir string) error {
-	info, err := t.f.Stat()
-	if err != nil {
-		return fmt.Errorf("lsm: %w", err)
-	}
-	if info.Size() < int64(len(sstMagic))+footerSize {
-		return fmt.Errorf("lsm: table %s truncated", t.meta.Name)
+// init validates a table of size bytes read through t.f: magic, footer,
+// index frame and every index entry. It keeps the index payload and builds
+// the sparse index; every allocation is bounded by size.
+func (t *table) init(size int64) error {
+	if size < int64(len(sstMagic))+footerSize {
+		return corruptAt(0, "table truncated")
 	}
 	head := make([]byte, len(sstMagic))
-	if _, err := t.f.ReadAt(head, 0); err != nil || !bytes.Equal(head, sstMagic) {
-		return fmt.Errorf("lsm: table %s: bad magic", t.meta.Name)
+	if _, err := t.f.ReadAt(head, 0); err != nil {
+		return fmt.Errorf("lsm: %w", err)
+	}
+	if !bytes.Equal(head, sstMagic) {
+		return corruptAt(0, "bad magic")
 	}
 	footer := make([]byte, footerSize)
-	if _, err := t.f.ReadAt(footer, info.Size()-footerSize); err != nil {
+	footOff := size - footerSize
+	if _, err := t.f.ReadAt(footer, footOff); err != nil {
 		return fmt.Errorf("lsm: %w", err)
 	}
 	if !bytes.Equal(footer[28:], sstFootMag) {
-		return fmt.Errorf("lsm: table %s: bad footer magic", t.meta.Name)
+		return corruptAt(footOff, "bad footer magic")
 	}
 	if crc32.ChecksumIEEE(footer[:24]) != binary.LittleEndian.Uint32(footer[24:28]) {
-		return fmt.Errorf("lsm: table %s: footer CRC mismatch", t.meta.Name)
+		return corruptAt(footOff, "footer CRC mismatch")
 	}
-	t.indexOff = int64(binary.LittleEndian.Uint64(footer))
-	t.indexLen = int64(binary.LittleEndian.Uint64(footer[8:]))
+	indexOff := binary.LittleEndian.Uint64(footer)
+	indexLen := binary.LittleEndian.Uint64(footer[8:])
 	t.count = binary.LittleEndian.Uint64(footer[16:])
-	if t.indexOff < int64(len(sstMagic)) || t.indexOff+t.indexLen+footerSize != info.Size() {
-		return fmt.Errorf("lsm: table %s: footer geometry out of range", t.meta.Name)
+	// Unsigned checks first, so no sum below can overflow.
+	if indexOff < uint64(len(sstMagic)) || indexOff > uint64(footOff) ||
+		indexLen != uint64(footOff)-indexOff || indexLen < frameHeader {
+		return corruptAt(footOff, "footer geometry out of range")
 	}
-	payload, err := t.indexPayload()
-	if err != nil {
-		return err
+	t.indexOff = int64(indexOff)
+	frame := make([]byte, indexLen)
+	if _, err := t.f.ReadAt(frame, t.indexOff); err != nil {
+		return fmt.Errorf("lsm: %w", err)
+	}
+	if uint64(binary.LittleEndian.Uint32(frame))+frameHeader != indexLen {
+		return corruptAt(t.indexOff, "index frame length mismatch")
+	}
+	payload := frame[frameHeader:]
+	if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(frame[4:]) {
+		return corruptAt(t.indexOff, "index CRC mismatch")
 	}
 	cur := indexCursor{b: payload}
 	var e indexEntry
 	var i uint64
 	for {
 		off := cur.off
-		ok, err := cur.next(&e)
+		typ, id, ok, err := cur.nextRaw(&e)
 		if err != nil {
-			return fmt.Errorf("lsm: table %s: %w", t.meta.Name, err)
+			return t.indexErr(err)
 		}
 		if !ok {
 			break
 		}
 		if i%sparseEvery == 0 {
-			t.sparse = append(t.sparse, sparseSlot{key: compositeKey(e.key), off: off})
+			t.sparse = append(t.sparse, sparseSlot{key: string(typ) + "\x00" + string(id), off: off})
 		}
 		i++
 	}
 	if i != t.count {
-		return fmt.Errorf("lsm: table %s: index holds %d entries, footer says %d", t.meta.Name, i, t.count)
+		return corruptAt(footOff, fmt.Sprintf("index holds %d entries, footer says %d", i, t.count))
 	}
-	if bl, err := loadBloom(filepath.Join(dir, bloomName(t.meta.Name))); err == nil {
-		t.bloom = bl
-	} else {
-		// Sidecar missing or damaged: rebuild from the index block we just
-		// validated and rewrite it for the next open.
-		bl = newBloom(int(t.count))
-		cur = indexCursor{b: payload}
-		for {
-			ok, err := cur.next(&e)
-			if err != nil || !ok {
-				break
-			}
-			bl.add(compositeKey(e.key))
-		}
-		t.bloom = bl
-		os.WriteFile(filepath.Join(dir, bloomName(t.meta.Name)), bl.marshal(), 0o644)
-	}
+	t.index = payload
 	return nil
 }
 
-// indexPayload reads and CRC-verifies the index frame, returning its payload.
-func (t *table) indexPayload() ([]byte, error) {
-	frame := make([]byte, t.indexLen)
-	if _, err := t.f.ReadAt(frame, t.indexOff); err != nil {
-		return nil, fmt.Errorf("lsm: %w", err)
+// loadBloom loads the bloom sidecar, or rebuilds it from the verified index
+// and rewrites it for the next open when it is missing or damaged.
+func (t *table) loadBloom(dir string) {
+	path := filepath.Join(dir, bloomName(t.meta.Name))
+	if bl, err := loadBloom(path); err == nil {
+		t.bloom = bl
+		return
 	}
-	if t.indexLen < frameHeader {
-		return nil, fmt.Errorf("lsm: table %s: index frame truncated", t.meta.Name)
+	bl := newBloom(int(t.count))
+	cur := indexCursor{b: t.index}
+	var e indexEntry
+	for {
+		typ, id, ok, err := cur.nextRaw(&e)
+		if err != nil || !ok {
+			break
+		}
+		bl.add(string(typ) + "\x00" + string(id))
 	}
-	length := binary.LittleEndian.Uint32(frame)
-	sum := binary.LittleEndian.Uint32(frame[4:])
-	if int64(length)+frameHeader != t.indexLen {
-		return nil, fmt.Errorf("lsm: table %s: index frame length mismatch", t.meta.Name)
-	}
-	payload := frame[frameHeader:]
-	if crc32.ChecksumIEEE(payload) != sum {
-		return nil, fmt.Errorf("lsm: table %s: index CRC mismatch", t.meta.Name)
-	}
-	return payload, nil
+	t.bloom = bl
+	os.WriteFile(path, bl.marshal(), 0o644)
 }
+
+// placed names the table in a decoder's corruption error and moves its
+// offset, relative to a buffer that starts at file offset base, to the file.
+func (t *table) placed(err error, base int64) error {
+	var ce *CorruptTableError
+	if !errors.As(err, &ce) {
+		return err
+	}
+	c := *ce
+	c.Table = t.meta.Name
+	c.Offset += base
+	return &c
+}
+
+// indexErr places an index cursor's error, whose offset is within the
+// index payload.
+func (t *table) indexErr(err error) error { return t.placed(err, t.indexOff+frameHeader) }
 
 func (t *table) close() {
 	if t.f != nil {
@@ -459,8 +553,10 @@ func (t *table) close() {
 	}
 }
 
-// findEntry locates key's index entry via the sparse index, reading only the
-// covering run of the index block. Returns errNotFound for an absent key.
+// findEntry locates key's index entry: a binary search of the sparse index,
+// then a scan of at most sparseEvery in-memory entries comparing keys in
+// place. It allocates nothing — the returned entry's key is sliced from ck.
+// Returns errNotFound for an absent key.
 func (t *table) findEntry(ck string) (indexEntry, error) {
 	if len(t.sparse) == 0 || ck < t.sparse[0].key {
 		return indexEntry{}, errNotFound
@@ -476,149 +572,184 @@ func (t *table) findEntry(ck string) (indexEntry, error) {
 		}
 	}
 	slot := t.sparse[lo-1]
-	end := int(t.indexLen - frameHeader)
+	end := len(t.index)
 	if lo < len(t.sparse) {
 		end = t.sparse[lo].off
 	}
-	run := make([]byte, end-slot.off)
-	if _, err := t.f.ReadAt(run, t.indexOff+frameHeader+int64(slot.off)); err != nil {
-		return indexEntry{}, fmt.Errorf("lsm: %w", err)
-	}
-	cur := indexCursor{b: run}
+	cur := indexCursor{b: t.index[slot.off:end], off: slot.off}
 	var e indexEntry
 	for {
-		ok, err := cur.next(&e)
+		typ, id, ok, err := cur.nextRaw(&e)
 		if err != nil {
-			return indexEntry{}, fmt.Errorf("lsm: table %s: %w", t.meta.Name, err)
+			return indexEntry{}, t.indexErr(err)
 		}
 		if !ok {
 			return indexEntry{}, errNotFound
 		}
-		switch c := compositeKey(e.key); {
-		case c == ck:
+		switch c := compareRaw(typ, id, ck); {
+		case c == 0:
+			e.key = splitComposite(ck)
 			return e, nil
-		case c > ck:
+		case c > 0:
 			return indexEntry{}, errNotFound
 		}
 	}
 }
 
-// readFrameAt decodes the single record frame starting at off.
-func (t *table) readFrameAt(off int64) (storage.WALRecord, int64, error) {
-	hdr := make([]byte, frameHeader)
-	if _, err := t.f.ReadAt(hdr, off); err != nil {
-		return storage.WALRecord{}, 0, fmt.Errorf("lsm: %w", err)
+// region reads the n bytes of the data block at off in one ReadAt. A range
+// outside the data block [len(sstMagic), indexOff) is corruption: an index
+// entry pointing there must never become a read or an allocation past it.
+func (t *table) region(off, n int64) ([]byte, error) {
+	if off < int64(len(sstMagic)) || off > t.indexOff || n < 0 || n > t.indexOff-off {
+		return nil, &CorruptTableError{Table: t.meta.Name, Offset: off,
+			Reason: fmt.Sprintf("data range of %d bytes outside the data block [%d, %d)", n, len(sstMagic), t.indexOff)}
 	}
-	length := binary.LittleEndian.Uint32(hdr)
-	sum := binary.LittleEndian.Uint32(hdr[4:])
-	if length > maxFrame {
-		return storage.WALRecord{}, 0, fmt.Errorf("lsm: table %s: implausible frame length at %d", t.meta.Name, off)
+	b := make([]byte, n)
+	if _, err := t.f.ReadAt(b, off); err != nil {
+		return nil, fmt.Errorf("lsm: %w", err)
 	}
-	payload := make([]byte, length)
-	if _, err := t.f.ReadAt(payload, off+frameHeader); err != nil {
-		return storage.WALRecord{}, 0, fmt.Errorf("lsm: %w", err)
+	return b, nil
+}
+
+// frameLen returns the length of the CRC frame at the start of b, header
+// included, checking that it fits in b.
+func frameLen(b []byte) (int, error) {
+	if len(b) < frameHeader {
+		return 0, corruptAt(0, "truncated frame header")
 	}
-	if crc32.ChecksumIEEE(payload) != sum {
-		return storage.WALRecord{}, 0, fmt.Errorf("lsm: table %s: data CRC mismatch at %d", t.meta.Name, off)
+	n := binary.LittleEndian.Uint32(b)
+	if uint64(n) > uint64(len(b)-frameHeader) {
+		return 0, corruptAt(0, fmt.Sprintf("frame length %d runs past its key's data", n))
+	}
+	return frameHeader + int(n), nil
+}
+
+// parseFrame checks the CRC of the frame at the start of b and decodes its
+// record. It returns the record and the frame's length.
+func parseFrame(b []byte) (storage.WALRecord, int, error) {
+	n, err := frameLen(b)
+	if err != nil {
+		return storage.WALRecord{}, 0, err
+	}
+	payload := b[frameHeader:n]
+	if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(b[4:]) {
+		return storage.WALRecord{}, 0, corruptAt(0, "data CRC mismatch")
 	}
 	rec, err := storage.DecodeRecord(payload)
 	if err != nil {
-		return storage.WALRecord{}, 0, fmt.Errorf("lsm: table %s: %w", t.meta.Name, err)
+		return storage.WALRecord{}, 0, corruptAt(0, err.Error())
 	}
-	return rec, off + frameHeader + int64(length), nil
+	return rec, n, nil
 }
 
-// lookupSummary returns the key's settled summary record, errNotFound when
-// the table holds no summary for it (absent key or detail-only entry).
-func (t *table) lookupSummary(key entity.Key) (storage.WALRecord, error) {
-	e, err := t.findEntry(compositeKey(key))
+// lookupSummary returns the settled summary record of the key with
+// composite ck, errNotFound when the table holds no summary for it (absent
+// key or detail-only entry). It costs one read, of the key's group.
+func (t *table) lookupSummary(ck string) (storage.WALRecord, error) {
+	e, err := t.findEntry(ck)
 	if err != nil {
 		return storage.WALRecord{}, err
 	}
 	if e.flags&entryHasSummary == 0 {
 		return storage.WALRecord{}, errNotFound
 	}
-	rec, _, err := t.readFrameAt(e.dataOff)
+	// The index does not record where the summary frame ends, so read the
+	// key's whole group; the summary is its first frame.
+	b, err := t.region(e.dataOff, e.dataLen)
 	if err != nil {
 		return storage.WALRecord{}, err
 	}
-	if rec.Kind != storage.KindSummary {
-		return storage.WALRecord{}, fmt.Errorf("lsm: table %s: entry for %s/%s does not start with its summary", t.meta.Name, key.Type, key.ID)
+	rec, _, err := t.groupSummary(b, e.dataOff)
+	return rec, err
+}
+
+// groupSummary decodes the summary frame that opens the key group b, read
+// at file offset off, and returns it with the frame's length.
+func (t *table) groupSummary(b []byte, off int64) (storage.WALRecord, int, error) {
+	rec, n, err := parseFrame(b)
+	if err == nil && rec.Kind != storage.KindSummary {
+		err = corruptAt(0, "key group does not start with its summary")
 	}
-	return rec, nil
+	if err != nil {
+		return storage.WALRecord{}, 0, t.placed(err, off)
+	}
+	return rec, n, nil
 }
 
 // replay streams the table's recovery view: per key a light summary pointer
 // (KindSummary with Horizon but a nil Summary state — the payload stays on
-// disk until a cold read warms it) and every detail record in full.
+// disk until a cold read warms it) and every detail record in full. The
+// pointer comes from the index entry alone; a key's data is read, in one
+// read, only when it has detail records.
 func (t *table) replay(fn func(storage.WALRecord) error) error {
-	payload, err := t.indexPayload()
-	if err != nil {
-		return err
-	}
-	cur := indexCursor{b: payload}
+	cur := indexCursor{b: t.index}
 	var e indexEntry
 	for {
 		ok, err := cur.next(&e)
 		if err != nil {
-			return fmt.Errorf("lsm: table %s: %w", t.meta.Name, err)
+			return t.indexErr(err)
 		}
 		if !ok {
 			return nil
 		}
-		off := e.dataOff
-		if e.flags&entryHasSummary != 0 {
+		hasSummary := e.flags&entryHasSummary != 0
+		if hasSummary {
 			if err := fn(storage.WALRecord{Kind: storage.KindSummary, Key: e.key, Horizon: e.horizon}); err != nil {
 				return err
 			}
+		}
+		if e.detailCount == 0 {
+			continue
+		}
+		b, err := t.region(e.dataOff, e.dataLen)
+		if err != nil {
+			return err
+		}
+		pos := 0
+		if hasSummary {
 			// Skip the summary frame without decoding its payload.
-			hdr := make([]byte, frameHeader)
-			if _, err := t.f.ReadAt(hdr, off); err != nil {
-				return fmt.Errorf("lsm: %w", err)
+			if pos, err = frameLen(b); err != nil {
+				return t.placed(err, e.dataOff)
 			}
-			off += frameHeader + int64(binary.LittleEndian.Uint32(hdr))
 		}
 		for i := uint64(0); i < e.detailCount; i++ {
-			rec, next, err := t.readFrameAt(off)
+			rec, n, err := parseFrame(b[pos:])
 			if err != nil {
-				return err
+				return t.placed(err, e.dataOff+int64(pos))
 			}
 			if err := fn(rec); err != nil {
 				return err
 			}
-			off = next
+			pos += n
 		}
 	}
 }
 
-// scan streams every record in the table in key order — the compaction
-// merge's input iterator, reading data frames sequentially.
+// scan streams every record in the table in key order, one read per key.
 func (t *table) scan(fn func(e indexEntry, rec storage.WALRecord) error) error {
-	payload, err := t.indexPayload()
-	if err != nil {
-		return err
-	}
-	cur := indexCursor{b: payload}
+	cur := indexCursor{b: t.index}
 	var e indexEntry
 	for {
 		ok, err := cur.next(&e)
 		if err != nil {
-			return fmt.Errorf("lsm: table %s: %w", t.meta.Name, err)
+			return t.indexErr(err)
 		}
 		if !ok {
 			return nil
 		}
-		off := e.dataOff
-		end := e.dataOff + e.dataLen
-		for off < end {
-			rec, next, err := t.readFrameAt(off)
+		b, err := t.region(e.dataOff, e.dataLen)
+		if err != nil {
+			return err
+		}
+		for pos := 0; pos < len(b); {
+			rec, n, err := parseFrame(b[pos:])
 			if err != nil {
-				return err
+				return t.placed(err, e.dataOff+int64(pos))
 			}
 			if err := fn(e, rec); err != nil {
 				return err
 			}
-			off = next
+			pos += n
 		}
 	}
 }

@@ -348,6 +348,10 @@ func (q *Queue) DequeueWaitOrdered(topic string, timeout time.Duration) (*Messag
 	return q.dequeueWait(topic, timeout, true)
 }
 
+// testHookBeforeWait, when a test sets it, runs between arming the waker
+// and cond.Wait: the window in which a wake-up can be lost.
+var testHookBeforeWait func()
+
 func (q *Queue) dequeueWait(topic string, timeout time.Duration, ordered bool) (*Message, error) {
 	deadline := time.Now().Add(timeout)
 	q.mu.Lock()
@@ -361,8 +365,18 @@ func (q *Queue) dequeueWait(topic string, timeout time.Duration, ordered bool) (
 			return nil, ErrEmpty
 		}
 		// Wake periodically: delayed messages and visibility expiries become
-		// deliverable by time passing, not by a Broadcast.
-		waker := time.AfterFunc(5*time.Millisecond, func() { q.cond.Broadcast() })
+		// deliverable by time passing, not by a Broadcast. The waker takes
+		// q.mu, so it cannot broadcast before cond.Wait has registered this
+		// waiter and released the lock: a broadcast before that would be
+		// lost, and on an idle topic nothing else would wake the waiter.
+		waker := time.AfterFunc(5*time.Millisecond, func() {
+			q.mu.Lock()
+			q.cond.Broadcast()
+			q.mu.Unlock()
+		})
+		if testHookBeforeWait != nil {
+			testHookBeforeWait()
+		}
 		q.cond.Wait()
 		waker.Stop()
 	}

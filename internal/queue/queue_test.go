@@ -3,6 +3,7 @@ package queue
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -204,6 +205,77 @@ func TestDequeueWaitTimeout(t *testing.T) {
 	}
 	if time.Since(start) > time.Second {
 		t.Fatal("timeout much longer than requested")
+	}
+}
+
+// TestDequeueWaitWakerFiringBeforeWait: the waiter is held past the waker's
+// 5ms between arming it and cond.Wait, so the waker fires inside that window.
+// Its broadcast must still reach the waiter; on an idle topic nothing else
+// will ever wake it.
+func TestDequeueWaitWakerFiringBeforeWait(t *testing.T) {
+	testHookBeforeWait = func() { time.Sleep(20 * time.Millisecond) }
+	defer func() { testHookBeforeWait = nil }()
+	q := New("unit-1", Options{})
+	defer q.Close() // unblocks a stuck waiter if the test fails
+	errc := make(chan error, 1)
+	go func() {
+		_, err := q.DequeueWait("idle", time.Millisecond)
+		errc <- err
+	}()
+	select {
+	case err := <-errc:
+		if !errors.Is(err, ErrEmpty) {
+			t.Fatalf("want ErrEmpty, got %v", err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("DequeueWait on an idle topic lost the wake-up that fired before cond.Wait")
+	}
+}
+
+// TestDequeueWaitIdleNeverLosesItsWakeup: a waiter on an idle topic relies
+// on its periodic waker alone — no enqueue will ever broadcast. Many short
+// waits on one CPU, each waiter alone on its queue so no other waiter's
+// waker can rescue it, must all return ErrEmpty within a bound; a wake-up
+// lost between arming the timer and cond.Wait would sleep forever.
+func TestDequeueWaitIdleNeverLosesItsWakeup(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const waiters, calls = 16, 60
+	const bound = 2 * time.Second
+	var progress [waiters]atomic.Int64 // unix nanos of each waiter's last return
+	var finished atomic.Int32
+	failures := make(chan error, waiters)
+	queues := make([]*Queue, waiters)
+	for w := range queues {
+		queues[w] = New(fmt.Sprintf("unit-%d", w), Options{})
+		defer queues[w].Close() // unblocks a stuck waiter if the test fails
+		progress[w].Store(time.Now().UnixNano())
+		go func(w int) {
+			defer finished.Add(1)
+			for i := 0; i < calls; i++ {
+				if _, err := queues[w].DequeueWait("idle", time.Millisecond); !errors.Is(err, ErrEmpty) {
+					failures <- fmt.Errorf("waiter %d call %d: want ErrEmpty, got %v", w, i, err)
+					return
+				}
+				progress[w].Store(time.Now().UnixNano())
+			}
+		}(w)
+	}
+	for finished.Load() < waiters {
+		select {
+		case err := <-failures:
+			t.Fatal(err)
+		case <-time.After(10 * time.Millisecond):
+		}
+		for w := range progress {
+			if since := time.Since(time.Unix(0, progress[w].Load())); since > bound {
+				t.Fatalf("waiter %d stuck in DequeueWait for %v on an idle topic (lost wake-up)", w, since)
+			}
+		}
+	}
+	select {
+	case err := <-failures:
+		t.Fatal(err)
+	default:
 	}
 }
 

@@ -71,7 +71,7 @@ bench-slo:
 # tests (CI runs the same set in its tiering job).
 lsm-race:
 	$(GO) test -race ./internal/lsm/
-	$(GO) test -race -run 'TestTiered|TestFlushCompactionCrashMatrix|TestColdEviction|TestCheckpointFailure|TestLegacySnapshot|TestAsOfAndHistory' ./internal/lsdb/
+	$(GO) test -race -run 'TestTiered|TestFlushCompactionCrashMatrix|TestColdEviction|TestCheckpointFailure|TestLegacySnapshot|TestAsOfAndHistory|TestHistoryLockScope' ./internal/lsdb/
 	$(GO) test -race -run 'TestRecycle|TestChunkPool|TestApplyFailureRecycles' ./internal/entity/
 
 # The full replication fault matrix under the race detector: every ack mode

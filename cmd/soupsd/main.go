@@ -478,7 +478,22 @@ func normalise(v interface{}) interface{} {
 	return v
 }
 
+// historyBufs recycles /history response buffers. A hot entity's trace runs
+// to hundreds of kilobytes; buffers past maxPooledHistoryBuf are left to the
+// collector so one huge answer does not pin its memory forever.
+var historyBufs = sync.Pool{New: func() interface{} { return new([]byte) }}
+
+const maxPooledHistoryBuf = 1 << 20
+
+// handleHistory serves an entity's trace as the same bytes
+// writeJSON(h.Trace()) would, appended straight into a pooled buffer from
+// the version metadata (no per-version states, no intermediate strings) and
+// written once.
 func (s *server) handleHistory(w http.ResponseWriter, r *http.Request) {
+	if r.Method != http.MethodGet {
+		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
+		return
+	}
 	k := s.dataKernel(w)
 	if k == nil {
 		return
@@ -488,7 +503,7 @@ func (s *server) handleHistory(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	h, err := k.History(key)
+	h, err := k.Versions(key)
 	if errors.Is(err, lsdb.ErrNotFound) {
 		http.Error(w, "not found", http.StatusNotFound)
 		return
@@ -497,10 +512,20 @@ func (s *server) handleHistory(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	writeJSON(w, h.Trace())
+	buf := historyBufs.Get().(*[]byte)
+	*buf = h.AppendTraceJSON((*buf)[:0])
+	w.Header().Set("Content-Type", "application/json")
+	_, _ = w.Write(*buf)
+	if cap(*buf) <= maxPooledHistoryBuf {
+		historyBufs.Put(buf)
+	}
 }
 
-func (s *server) handleWarnings(w http.ResponseWriter, _ *http.Request) {
+func (s *server) handleWarnings(w http.ResponseWriter, r *http.Request) {
+	if r.Method != http.MethodGet {
+		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
+		return
+	}
 	k := s.dataKernel(w)
 	if k == nil {
 		return

@@ -134,7 +134,18 @@ func (t Timestamp) IsZero() bool {
 
 // String renders the timestamp in a compact sortable form.
 func (t Timestamp) String() string {
-	return fmt.Sprintf("%d.%d@%s", t.WallNanos, t.Logical, t.Node)
+	var buf [48]byte
+	return string(t.Append(buf[:0]))
+}
+
+// Append appends the String form of t to dst without allocating beyond
+// dst's growth.
+func (t Timestamp) Append(dst []byte) []byte {
+	dst = strconv.AppendInt(dst, t.WallNanos, 10)
+	dst = append(dst, '.')
+	dst = strconv.AppendUint(dst, uint64(t.Logical), 10)
+	dst = append(dst, '@')
+	return append(dst, t.Node...)
 }
 
 // ParseTimestamp parses the output of Timestamp.String.

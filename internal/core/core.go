@@ -786,6 +786,16 @@ func (k *Kernel) History(key entity.Key) (*entity.History, error) {
 	return u.db.History(key)
 }
 
+// Versions returns the version chain of an entity without the per-version
+// states History folds: what an audit trail renders.
+func (k *Kernel) Versions(key entity.Key) (*entity.History, error) {
+	u, err := k.unitFor(key)
+	if err != nil {
+		return nil, err
+	}
+	return u.db.Versions(key)
+}
+
 // Exists reports whether the entity has any recorded state.
 func (k *Kernel) Exists(key entity.Key) bool {
 	u, err := k.unitFor(key)

@@ -1324,31 +1324,6 @@ func (h *History) ContainsTxn(txnID string) bool {
 	return false
 }
 
-// Trace renders the history as a human-readable audit trail: the paper's
-// negative-inventory example requires being able to show "the history that
-// resulted in negative inventory levels" (principle 2.1).
-func (h *History) Trace() []string {
-	out := make([]string, 0, len(h.Versions))
-	for _, v := range h.Versions {
-		var ops []string
-		for _, op := range v.Ops {
-			if op.Describe != "" {
-				ops = append(ops, op.Describe)
-			} else {
-				ops = append(ops, op.String())
-			}
-		}
-		flag := ""
-		if v.Obsolete {
-			flag = " [obsolete]"
-		} else if v.Tentative {
-			flag = " [tentative]"
-		}
-		out = append(out, fmt.Sprintf("#%d %s by %s: %s%s", v.Seq, v.Stamp, v.Origin, strings.Join(ops, "; "), flag))
-	}
-	return out
-}
-
 // MergeStrategy selects how two concurrent states of the same entity are
 // reconciled (principle 2.10: a single end-to-end conflict-handling
 // mechanism).

@@ -798,60 +798,93 @@ func (db *DB) AsOf(key entity.Key, ts clock.Timestamp) (*entity.State, error) {
 
 // History reconstructs the full insert-only version chain of key, including
 // obsolete versions (principle 2.7: the past is never discarded, only
-// summarised).
+// summarised). Every version carries the state it produced: the shard lock
+// is held only to copy the version metadata, and the states are folded after
+// it is released.
 func (db *DB) History(key entity.Key) (*entity.History, error) {
 	typ, ok := db.TypeOf(key.Type)
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrUnknownType, key.Type)
 	}
-	s := db.shardFor(key)
-	if err := db.ensureWarm(s, key); err != nil {
+	h, arch, err := db.collectVersions(key)
+	if err != nil {
 		return nil, err
 	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	lsns := s.index[key]
-	if len(lsns) == 0 && s.archived[key] == nil {
-		return nil, fmt.Errorf("%w: %s", ErrNotFound, key)
-	}
-	h := entity.NewHistory(key)
 	state := entity.NewState(key)
-	if arch := s.archived[key]; arch != nil {
+	if arch != nil {
 		state = arch.Clone()
 	}
-	var seq uint64
-	for _, lsn := range lsns {
-		if lsn <= s.archivedAt[key] {
-			continue // already folded into the archived summary
-		}
-		rec := s.recordAtLocked(lsn)
-		if rec == nil {
-			continue
-		}
-		seq++
-		v := &entity.Version{
-			Key:       key,
-			Seq:       seq,
-			Ops:       rec.Ops,
-			Stamp:     rec.Stamp,
-			Origin:    rec.Origin,
-			TxnID:     rec.TxnID,
-			Tentative: rec.Tentative,
-			Obsolete:  rec.Obsolete,
-		}
-		if !rec.Obsolete {
-			next, _, err := entity.Apply(typ, state, rec.Ops, entity.Managed)
+	for _, v := range h.Versions {
+		if !v.Obsolete {
+			next, _, err := entity.Apply(typ, state, v.Ops, entity.Managed)
 			if err == nil {
-				if rec.Tentative {
+				if v.Tentative {
 					next.Tentative = true
 				}
 				state = next.Freeze()
 			}
 		}
 		v.State = state
-		h.Append(v)
 	}
 	return h, nil
+}
+
+// Versions is History without the per-version states (every Version.State
+// is nil): the version chain an audit trail renders, at the cost of copying
+// metadata only.
+func (db *DB) Versions(key entity.Key) (*entity.History, error) {
+	if _, ok := db.TypeOf(key.Type); !ok {
+		return nil, fmt.Errorf("%w: %s", ErrUnknownType, key.Type)
+	}
+	h, _, err := db.collectVersions(key)
+	return h, err
+}
+
+// collectVersions copies key's version chain above its archive horizon into
+// one slab under the shard read lock, and returns it with the archived
+// summary the chain builds on (nil when there is none). Records are
+// rewritten in place by Compact and the obsolete flag by MarkObsolete, so
+// everything a caller reads later is copied here; the op slices themselves
+// are immutable and shared. The allocations do not depend on history length.
+func (db *DB) collectVersions(key entity.Key) (*entity.History, *entity.State, error) {
+	s := db.shardFor(key)
+	if err := db.ensureWarm(s, key); err != nil {
+		return nil, nil, err
+	}
+	s.mu.RLock()
+	lsns := s.index[key]
+	arch := s.archived[key]
+	if len(lsns) == 0 && arch == nil {
+		s.mu.RUnlock()
+		return nil, nil, fmt.Errorf("%w: %s", ErrNotFound, key)
+	}
+	horizon := s.archivedAt[key]
+	slab := make([]entity.Version, 0, len(lsns))
+	for _, lsn := range lsns {
+		if lsn <= horizon {
+			continue // already folded into the archived summary
+		}
+		rec := s.recordAtLocked(lsn)
+		if rec == nil {
+			continue
+		}
+		slab = append(slab, entity.Version{
+			Key:       key,
+			Seq:       uint64(len(slab) + 1),
+			Ops:       rec.Ops,
+			Stamp:     rec.Stamp,
+			Origin:    rec.Origin,
+			TxnID:     rec.TxnID,
+			Tentative: rec.Tentative,
+			Obsolete:  rec.Obsolete,
+		})
+	}
+	s.mu.RUnlock()
+	h := &entity.History{Key: key, Versions: make([]*entity.Version, len(slab))}
+	for i := range slab {
+		h.Versions[i] = &slab[i]
+	}
+	return h, arch, nil
 }
 
 // RecordsAfter returns all records with LSN strictly greater than after, in

@@ -67,11 +67,12 @@ bench-slo:
 
 # The tiered-storage suites under the race detector: the LSM store unit
 # tests, the lsdb flush/recovery/cold-read suites, the kill-9 crash matrix
-# over every mid-flush/mid-compaction site, and the chunk-pool ownership
-# tests (CI runs the same set in its tiering job).
+# over every mid-flush/mid-compaction site, the promise differential
+# exactness check, and the chunk-pool ownership tests (CI runs the same set
+# in its tiering job).
 lsm-race:
 	$(GO) test -race ./internal/lsm/
-	$(GO) test -race -run 'TestTiered|TestFlushCompactionCrashMatrix|TestColdEviction|TestCheckpointFailure|TestLegacySnapshot|TestAsOfAndHistory|TestHistoryLockScope' ./internal/lsdb/
+	$(GO) test -race -run 'TestTiered|TestFlushCompactionCrashMatrix|TestColdEviction|TestCheckpointFailure|TestLegacySnapshot|TestAsOfAndHistory|TestHistoryLockScope|TestPromiseFoldExactness|TestKeptDerivedOnEveryInstallPath' ./internal/lsdb/
 	$(GO) test -race -run 'TestRecycle|TestChunkPool|TestApplyFailureRecycles' ./internal/entity/
 
 # The full replication fault matrix under the race detector: every ack mode

@@ -1480,6 +1480,8 @@ func (k *Kernel) onPromiseBroken(p apology.Promise, reason string) {
 }
 
 // KeepPromise marks a promise as fulfilled and confirms the tentative state.
+// The Confirm op names the promise's transaction, so the log settles the
+// promise's record and flushes can summarise it.
 func (k *Kernel) KeepPromise(id string) error {
 	p, err := k.ledger.Get(id)
 	if err != nil {
@@ -1489,7 +1491,7 @@ func (k *Kernel) KeepPromise(id string) error {
 		return err
 	}
 	k.metrics.Counter("promise.kept").Inc()
-	_, err = k.Update(p.Entity, entity.Confirm())
+	_, err = k.Update(p.Entity, entity.Confirm(p.TxnID))
 	return err
 }
 

@@ -309,6 +309,19 @@ func TestTentativePromiseKeepAndBreak(t *testing.T) {
 	if err := k.KeepPromise(p1.ID); err != nil {
 		t.Fatal(err)
 	}
+	// The confirmation names the kept promise's record, which the log then
+	// treats as settled: it can no longer be withdrawn.
+	h, err := k.Versions(entity.Key{Type: "Book", ID: "bestseller"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if last := h.Versions[len(h.Versions)-1]; len(last.Ops) != 1 || last.Ops[0].Kind != entity.OpConfirm || last.Ops[0].Field != p1.TxnID {
+		t.Fatalf("KeepPromise wrote %v, want a Confirm naming %s", last.Ops, p1.TxnID)
+	}
+	u, _ := k.unitFor(p1.Entity)
+	if err := u.db.MarkObsolete(p1.Entity, p1.TxnID); !errors.Is(err, lsdb.ErrPromiseKept) {
+		t.Fatalf("withdrawing the kept promise's record = %v, want lsdb.ErrPromiseKept", err)
+	}
 	a, err := k.BreakPromise(p2.ID, "warehouse fire", "full refund")
 	if err != nil || a.Partner != "bob" {
 		t.Fatalf("BreakPromise: %+v %v", a, err)

@@ -355,6 +355,15 @@ func (c *collection) appendRow(ch Child) {
 	if _, ok := c.find(ch.ID); ok {
 		c.dups++
 	}
+	c.pushRow(ch)
+	if c.n-c.indexed >= reindexAfter {
+		c.reindex()
+	}
+}
+
+// pushRow is appendRow without the index upkeep: the caller counts
+// duplicates and reindexes.
+func (c *collection) pushRow(ch Child) {
 	ci := c.n / chunkSize
 	if ci == len(c.chunks) {
 		// Row capacity grows with append's amortised doubling; the position
@@ -371,24 +380,25 @@ func (c *collection) appendRow(ch Child) {
 	if !ch.Deleted {
 		c.live++
 	}
-	if c.n-c.indexed >= reindexAfter {
-		c.reindex()
-	}
 }
 
-// reindex builds a fresh id -> first-position map over all rows. The map is
-// private to the building version until the version is frozen; shared index
-// maps are never mutated.
+// reindex builds a fresh id -> first-position map over all rows and recounts
+// the duplicate rows. The map is private to the building version until the
+// version is frozen; shared index maps are never mutated.
 func (c *collection) reindex() {
 	idx := make(map[string]int, c.n)
+	dups := 0
 	for pos := 0; pos < c.n; pos++ {
 		id := c.rowAt(pos).ID
 		if _, ok := idx[id]; !ok {
 			idx[id] = pos
+		} else {
+			dups++
 		}
 	}
 	c.index = idx
 	c.indexed = c.n
+	c.dups = dups
 }
 
 // each calls fn with every row in insertion order.
@@ -622,19 +632,37 @@ func (s *State) appendChild(collection string, ch Child) {
 	s.mutableCol(collection).appendRow(ch)
 }
 
-// RestoreChild appends a raw child row — tombstone flag and all — to a
-// mutable state, bypassing upsert semantics. It exists for import codecs
-// (the storage checkpoint reader, the JSON summary codec) that rebuild a
-// state row-for-row from its serialised form; normal writes go through
-// Apply. Ownership of the row transfers to the state: the caller must not
-// retain or mutate ch.Fields afterwards. Decoders hand over freshly built
-// maps, so skipping the defensive clone halves their row allocations on the
-// recovery path.
-func (s *State) RestoreChild(collection string, ch Child) {
-	if ch.Fields == nil {
-		ch.Fields = Fields{}
+// RestoreChildren appends raw child rows — tombstone flags and all — to one
+// collection of a mutable state, bypassing upsert semantics. It exists for
+// import codecs (the storage checkpoint reader, the JSON summary codec) that
+// rebuild a state row-for-row from its serialised form; normal writes go
+// through Apply. Ownership of the rows transfers to the state: the caller
+// must not retain or mutate their Fields afterwards. Decoders hand over
+// freshly built maps, so skipping the defensive clone halves their row
+// allocations on the recovery path. A run that reaches reindexAfter rows
+// builds the id index once, after the last row: restoring n rows costs
+// O(n), where appending them one by one would rebuild it every
+// reindexAfter rows, O(n²) in time and allocation. A shorter run appends
+// row by row and, like Apply, leaves the index to the next rebuild.
+func (s *State) RestoreChildren(collection string, rows []Child) {
+	if len(rows) == 0 {
+		return
 	}
-	s.appendChild(collection, ch)
+	c := s.mutableCol(collection)
+	bulk := c.n-c.indexed+len(rows) >= reindexAfter
+	for _, ch := range rows {
+		if ch.Fields == nil {
+			ch.Fields = Fields{}
+		}
+		if bulk {
+			c.pushRow(ch)
+		} else {
+			c.appendRow(ch)
+		}
+	}
+	if bulk {
+		c.reindex()
+	}
 }
 
 // deleteChild tombstones every row carrying the id, reporting whether any row
@@ -724,7 +752,10 @@ const (
 	OpUndelete
 	// OpMarkTentative flags the entity state as tentative (principle 2.9).
 	OpMarkTentative
-	// OpConfirm clears the tentative flag (the promise was kept).
+	// OpConfirm clears the tentative flag (the promise was kept). Its Field
+	// names the transaction whose tentative record the promise wrote; the
+	// log marks that record kept, and so settled. An empty Field confirms
+	// the state only and settles no record.
 	OpConfirm
 )
 
@@ -948,8 +979,10 @@ func Undelete() Op { return Op{Kind: OpUndelete} }
 // MarkTentative returns an operation marking the state tentative.
 func MarkTentative(describe string) Op { return Op{Kind: OpMarkTentative, Describe: describe} }
 
-// Confirm returns an operation confirming previously tentative state.
-func Confirm() Op { return Op{Kind: OpConfirm} }
+// Confirm returns an operation confirming previously tentative state. txnID
+// names the transaction that wrote the tentative record being confirmed (the
+// promise's TxnID); "" names none.
+func Confirm(txnID string) Op { return Op{Kind: OpConfirm, Field: txnID} }
 
 // Described attaches a business description to the operation (principle 2.8).
 func (o Op) Described(text string) Op {

@@ -391,7 +391,7 @@ func TestApplyTentativeAndConfirm(t *testing.T) {
 	if !next.Tentative {
 		t.Fatal("state should be tentative")
 	}
-	confirmed, _, err := Apply(typ, next, []Op{Confirm()}, Strict)
+	confirmed, _, err := Apply(typ, next, []Op{Confirm("")}, Strict)
 	if err != nil || confirmed.Tentative {
 		t.Fatalf("confirm failed: %v", err)
 	}
@@ -606,7 +606,7 @@ func TestOpStringAndCommutes(t *testing.T) {
 	}
 	for _, op := range []Op{Set("a", 1), Delta("a", 2), InsertChild("c", "i", nil),
 		SetChildField("c", "i", "f", 1), DeltaChildField("c", "i", "f", 1), DeleteChild("c", "i"),
-		Delete(), Undelete(), MarkTentative("x"), Confirm()} {
+		Delete(), Undelete(), MarkTentative("x"), Confirm("")} {
 		if op.String() == "" {
 			t.Errorf("empty String for %v", op.Kind)
 		}

@@ -11,13 +11,18 @@
 // and writers of the captured shard resume as soon as its capture ends.
 //
 // The capture per dirty key is horizon-based: the settled horizon h is the
-// highest LSN such that every record at or below it is settled (non-tentative
-// or obsolete). The flush emits one summary record — the rollup through h —
-// plus a full copy of every index record above h (live tentative promises and
-// records newer than the last settled point, obsolete flags included). That
-// split makes history rewrites crash-safe: a MarkObsolete mark in the WAL
-// tail always finds its target after recovery, because a record that was
-// still withdrawable was never summarised away.
+// highest LSN such that every record at or below it is settled — non-tentative,
+// withdrawn (obsolete) or kept (a later Confirm op names its transaction).
+// The flush emits one summary record — the rollup through h — plus a full
+// copy of every index record above h (pending promises and records newer
+// than the last settled point, obsolete flags included). That split makes
+// history rewrites crash-safe: a MarkObsolete mark in the WAL tail always
+// finds its target after recovery, because a record that was still
+// withdrawable was never summarised away, and a kept record can no longer be
+// withdrawn (MarkObsolete refuses it). Kept is never encoded: recovery
+// re-derives it when the confirming record replays, which it always does
+// after the promise, since both sit above any horizon that excludes the
+// promise.
 //
 // After a flush lands, WAL segments up to the seal boundary are pruned (the
 // tables now cover them) and summaries whose entities are fully settled and
@@ -235,7 +240,7 @@ func (db *DB) captureKeyLocked(s *shard, key entity.Key) ([]storage.WALRecord, *
 	lsns := s.index[key]
 	arch := s.archived[key]
 	// Settled horizon: advance past every settled record (non-tentative, or
-	// tentative but already withdrawn); the first live tentative promise
+	// tentative but already withdrawn or kept); the first pending promise
 	// blocks it — that record must stay as detail so a later MarkObsolete in
 	// the WAL tail still finds it after recovery.
 	h := s.archivedAt[key]
@@ -247,10 +252,14 @@ func (db *DB) captureKeyLocked(s *shard, key entity.Key) ([]storage.WALRecord, *
 		if rec == nil {
 			continue
 		}
-		if rec.Tentative && !rec.Obsolete {
+		if rec.Tentative && !rec.Obsolete && !rec.Kept {
 			break
 		}
 		h = lsn
+	}
+	trailing := h < headOf(lsns) // detail follows the summary
+	if !trailing {
+		delete(s.settled, key)
 	}
 	var entries []storage.WALRecord
 	var private *entity.State
@@ -269,7 +278,14 @@ func (db *DB) captureKeyLocked(s *shard, key entity.Key) ([]storage.WALRecord, *
 			} else {
 				st := s.rollupToLocked(key, typ, h)
 				sum.Summary = st
-				private = st
+				if trailing {
+					// The next capture rolls up past h again; without
+					// this base it would replay the key's log from its
+					// last snapshot at or below h, under the shard lock.
+					s.settled[key] = snapshot{lsn: h, state: st.Freeze()}
+				} else {
+					private = st
+				}
 			}
 		}
 		entries = append(entries, sum)
@@ -286,17 +302,21 @@ func (db *DB) captureKeyLocked(s *shard, key entity.Key) ([]storage.WALRecord, *
 }
 
 // rollupToLocked is rollupLocked bounded to records at or below limit —
-// the flush capture's summary builder. The caller holds the shard's write
-// lock; the result is a private, unfrozen state the flush may recycle.
+// the flush capture's summary builder. It starts from the newest of the
+// archived summary, the snapshot and the last capture's settled base that
+// lies at or below limit. The caller holds the shard's write lock; the
+// result is a private, unfrozen state.
 func (s *shard) rollupToLocked(key entity.Key, typ *entity.Type, limit uint64) *entity.State {
 	base := entity.NewState(key)
 	startLSN := s.archivedAt[key]
-	if arch := s.archived[key]; arch != nil {
-		base = arch.Clone()
+	from := s.archived[key]
+	for _, b := range [...]snapshot{s.snaps[key], s.settled[key]} {
+		if b.state != nil && b.lsn >= startLSN && b.lsn <= limit {
+			from, startLSN = b.state, b.lsn
+		}
 	}
-	if snap, ok := s.snaps[key]; ok && snap.state != nil && snap.lsn >= startLSN && snap.lsn <= limit {
-		base = snap.state.Clone()
-		startLSN = snap.lsn
+	if from != nil {
+		base = from.Clone()
 	}
 	for _, lsn := range s.index[key] {
 		if lsn <= startLSN {
@@ -312,6 +332,9 @@ func (s *shard) rollupToLocked(key entity.Key, typ *entity.Type, limit uint64) *
 		next, _, err := entity.Apply(typ, base, rec.Ops, entity.Managed)
 		if err != nil {
 			continue
+		}
+		if rec.Tentative { // a kept promise, as rollupLocked folds it
+			next.Tentative = true
 		}
 		base = next
 	}

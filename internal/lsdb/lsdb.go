@@ -54,6 +54,11 @@ var (
 	// ErrDuplicateTxn is returned when a transaction id has already been
 	// applied to the entity (idempotent re-delivery).
 	ErrDuplicateTxn = errors.New("lsdb: duplicate transaction")
+	// ErrPromiseKept is returned by MarkObsolete for a record whose promise
+	// was already confirmed, or that is already folded into the entity's
+	// archived summary: such a record is settled and can no longer be
+	// withdrawn.
+	ErrPromiseKept = errors.New("lsdb: promise already kept")
 )
 
 // Record is one immutable log entry: the operations one transaction applied
@@ -216,9 +221,13 @@ type shard struct {
 	// the LSN an archived summary folds in through (the flush horizon resumes
 	// there); cold maps evicted keys to the horizon of their disk-resident
 	// summary — a cold read warms the key back into archived on demand.
+	// settled holds, for a key whose last capture left detail above its
+	// horizon (a pending promise), that capture's summary: the next
+	// capture's rollup resumes from it instead of replaying the key's log.
 	dirty      map[entity.Key]struct{}
 	archivedAt map[entity.Key]uint64
 	cold       map[entity.Key]uint64
+	settled    map[entity.Key]snapshot
 
 	// Group-commit queue (Options.GroupCommit): pending appends awaiting a
 	// leader drain. qmu only ever guards these two fields and is never held
@@ -238,6 +247,7 @@ func newShard() *shard {
 		dirty:      map[entity.Key]struct{}{},
 		archivedAt: map[entity.Key]uint64{},
 		cold:       map[entity.Key]uint64{},
+		settled:    map[entity.Key]snapshot{},
 	}
 }
 
@@ -536,7 +546,19 @@ func (db *DB) commitAppendLocked(s *shard, rec *Record, next *entity.State) *ent
 // appendRecordLocked adds rec to the shard's log and index. The caller holds
 // the shard lock; records arrive in ascending LSN order per shard because
 // LSNs are allocated under that lock.
+//
+// Every install path (commit, group commit, LoadRecord and so Recover and
+// IngestShipped) passes through here, which is what makes Kept derivable
+// from the log alone: a Confirm op naming a live tentative record of the
+// same entity marks that record kept. The confirmation always has the
+// higher LSN, and flush horizons are LSN prefixes, so wherever the promise
+// survives as detail its confirmation is replayed after it.
 func (s *shard) appendRecordLocked(rec Record, segmentSize int) {
+	for i := range rec.Ops {
+		if op := &rec.Ops[i]; op.Kind == entity.OpConfirm && op.Field != "" {
+			s.keepLocked(rec.Key, op.Field)
+		}
+	}
 	s.active = append(s.active, rec)
 	if len(s.active) >= segmentSize {
 		s.sealed = append(s.sealed, s.active)
@@ -545,10 +567,33 @@ func (s *shard) appendRecordLocked(rec Record, segmentSize int) {
 	s.index[rec.Key] = append(s.index[rec.Key], rec.LSN)
 }
 
+// keepLocked marks the live tentative record txnID wrote on key as kept. A
+// txn that is unknown (never written, or already summarised away) or whose
+// record is not a live promise is left alone.
+func (s *shard) keepLocked(key entity.Key, txnID string) {
+	lsn, ok := s.byTxn[key][txnID]
+	if !ok {
+		return
+	}
+	if rec := s.recordAtLocked(lsn); rec != nil && rec.Tentative && !rec.Obsolete {
+		rec.Kept = true
+	}
+}
+
 // MarkObsolete flags the record produced by txnID on key as obsolete (its
 // tentative promise was withdrawn). Rollups exclude it from then on, but the
-// record remains in the log for audit and apology purposes.
+// record remains in the log for audit and apology purposes. A record whose
+// promise was already kept is refused with ErrPromiseKept.
 func (db *DB) MarkObsolete(key entity.Key, txnID string) error {
+	return db.markObsolete(key, txnID, false)
+}
+
+// markObsolete is MarkObsolete; replay is set when the mark comes from a log
+// (Recover, IngestShipped). A logged mark was accepted while its record was
+// not yet kept, so on replay it withdraws the record even if the replay
+// order already derived Kept: recovery anchors marks at the highest LSN
+// seen, which table detail can place after the confirmation.
+func (db *DB) markObsolete(key entity.Key, txnID string, replay bool) error {
 	s := db.shardFor(key)
 	s.mu.Lock()
 	lsn, ok := s.byTxn[key][txnID]
@@ -561,6 +606,15 @@ func (db *DB) MarkObsolete(key entity.Key, txnID string) error {
 		s.mu.Unlock()
 		return fmt.Errorf("%w: lsn %d", ErrNotFound, lsn)
 	}
+	if !replay && (rec.Kept || lsn <= max(s.archivedAt[key], s.cold[key])) {
+		// Refused before the mark is logged: a kept record may already be
+		// folded into a flushed summary, where recovery's mark would find
+		// nothing. One at or below the archive horizon is such a fold
+		// already (recovery can reload a stale table copy of it), and
+		// marking the copy would withdraw nothing.
+		s.mu.Unlock()
+		return fmt.Errorf("%w: txn %s on %s", ErrPromiseKept, txnID, key)
+	}
 	// The record is already durable without its obsolete flag; log the
 	// history rewrite as a mark so recovery re-applies it — log-first, like
 	// appends: a degraded backend refuses the mark before memory changes
@@ -572,7 +626,7 @@ func (db *DB) MarkObsolete(key entity.Key, txnID string) error {
 		s.mu.Unlock()
 		return err
 	}
-	rec.Obsolete = true
+	rec.Obsolete, rec.Kept = true, false
 	if db.tiered != nil {
 		s.dirty[key] = struct{}{}
 	}
@@ -583,6 +637,9 @@ func (db *DB) MarkObsolete(key entity.Key, txnID string) error {
 	delete(s.cache, key)
 	if snap, ok := s.snaps[key]; ok && snap.lsn >= lsn {
 		delete(s.snaps, key)
+	}
+	if base, ok := s.settled[key]; ok && base.lsn >= lsn {
+		delete(s.settled, key)
 	}
 	// The mark ships through the commit sink too: a standby's log must
 	// withdraw the same promises. Captured under the shard lock (ordered
@@ -1134,6 +1191,7 @@ func (db *DB) Compact(beforeLSN uint64) CompactStats {
 			for key := range drop {
 				delete(s.index, key)
 				delete(s.snaps, key)
+				delete(s.settled, key)
 				delete(s.byTxn, key)
 				// The materialised state would now shadow the archived
 				// summary; drop it and let the next read rebuild from the

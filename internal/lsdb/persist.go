@@ -267,13 +267,11 @@ func FromPersistedState(ps PersistedState) (*entity.State, error) {
 	st.Tentative = ps.Tentative
 	st.Deleted = ps.Deleted
 	for name, rows := range ps.Collections {
-		for _, row := range rows {
-			fields := untagJSONRow(row.Fields)
-			if fields == nil {
-				fields = entity.Fields{}
-			}
-			st.RestoreChild(name, entity.Child{ID: row.ID, Fields: fields, Deleted: row.Deleted})
+		children := make([]entity.Child, len(rows))
+		for i, row := range rows {
+			children[i] = entity.Child{ID: row.ID, Fields: untagJSONRow(row.Fields), Deleted: row.Deleted}
 		}
+		st.RestoreChildren(name, children)
 	}
 	return st.Freeze(), nil
 }
@@ -420,7 +418,7 @@ func (db *DB) IngestShipped(recs []Record) error {
 			// ErrNotFound mirrors Recover: the mark's record may live in a
 			// chunk that never arrives (compacted away on the peer) — the
 			// live store's mark was a no-op then too.
-			if err := db.MarkObsolete(rec.Key, rec.TxnID); err != nil && !errors.Is(err, ErrNotFound) {
+			if err := db.markObsolete(rec.Key, rec.TxnID, true); err != nil && !errors.Is(err, ErrNotFound) {
 				return fmt.Errorf("lsdb: ingest mark: %w", err)
 			}
 		case storage.KindCompact:
@@ -607,7 +605,7 @@ func Recover(opts Options, types ...*entity.Type) (*DB, error) {
 			// ErrNotFound means the marked record was archived by a later
 			// compaction before this store crashed — the live store's mark
 			// was a no-op then too.
-			if err := db.MarkObsolete(m.Key, m.TxnID); err != nil && !errors.Is(err, ErrNotFound) {
+			if err := db.markObsolete(m.Key, m.TxnID, true); err != nil && !errors.Is(err, ErrNotFound) {
 				return fmt.Errorf("lsdb: recover: %w", err)
 			}
 		case storage.KindCompact:

@@ -245,7 +245,7 @@ func (d *decoder) fieldMap() (entity.Fields, error) {
 	if err != nil {
 		return nil, err
 	}
-	if uint64(len(d.b)) < n { // each entry is at least two bytes
+	if uint64(len(d.b))/2 < n { // each entry is at least two bytes
 		return nil, &codecError{msg: "truncated field map"}
 	}
 	out := make(entity.Fields, n)
@@ -260,6 +260,12 @@ func (d *decoder) fieldMap() (entity.Fields, error) {
 	}
 	return out, nil
 }
+
+// minOpBytes is the smallest encoded op: one byte each for the kind, the
+// field, the value tag, the collection, the child id, the flags and the
+// description, plus the 8-byte delta. A count of ops is checked against it
+// before the op slice is allocated.
+const minOpBytes = 15
 
 // Record flag bits.
 const (
@@ -457,7 +463,7 @@ func DecodeRecord(payload []byte) (WALRecord, error) {
 	if err != nil {
 		return rec, err
 	}
-	if uint64(len(d.b)) < nOps {
+	if uint64(len(d.b))/minOpBytes < nOps {
 		return rec, &codecError{msg: "truncated op list"}
 	}
 	if nOps > 0 {
@@ -535,10 +541,18 @@ func (d *decoder) state(key entity.Key) (*entity.State, error) {
 		if err != nil {
 			return nil, err
 		}
-		if uint64(len(d.b)) < nRows {
+		if uint64(len(d.b))/3 < nRows { // each row is at least three bytes
 			return nil, &codecError{msg: "truncated row list"}
 		}
-		for r := uint64(0); r < nRows; r++ {
+		// Rows are copied into the state's chunks, so a short run decodes
+		// through a stack buffer and only a wide one allocates.
+		var buf [16]entity.Child
+		rows := buf[:]
+		if nRows > uint64(len(buf)) {
+			rows = make([]entity.Child, nRows)
+		}
+		rows = rows[:nRows]
+		for r := range rows {
 			id, err := d.string()
 			if err != nil {
 				return nil, err
@@ -551,11 +565,9 @@ func (d *decoder) state(key entity.Key) (*entity.State, error) {
 			if err != nil {
 				return nil, err
 			}
-			if fields == nil {
-				fields = entity.Fields{}
-			}
-			st.RestoreChild(name, entity.Child{ID: id, Fields: fields, Deleted: rf&flagObsolete != 0})
+			rows[r] = entity.Child{ID: id, Fields: fields, Deleted: rf&flagObsolete != 0}
 		}
+		st.RestoreChildren(name, rows)
 	}
 	return st.Freeze(), nil
 }

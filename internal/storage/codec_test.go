@@ -111,9 +111,8 @@ func TestCodecSummaryState(t *testing.T) {
 	st.Fields["total"] = 120.5
 	st.Fields["count"] = int64(1) << 60
 	st.Tentative = true
-	st.RestoreChild("lineitems", entity.Child{ID: "L1", Fields: entity.Fields{"qty": int64(2)}})
-	st.RestoreChild("lineitems", entity.Child{ID: "L2", Fields: entity.Fields{"qty": int64(5)}, Deleted: true})
-	st.RestoreChild("notes", entity.Child{ID: "N1", Fields: entity.Fields{"text": "rush"}})
+	st.RestoreChildren("lineitems", []entity.Child{{ID: "L1", Fields: entity.Fields{"qty": int64(2)}}, {ID: "L2", Fields: entity.Fields{"qty": int64(5)}, Deleted: true}})
+	st.RestoreChildren("notes", []entity.Child{{ID: "N1", Fields: entity.Fields{"text": "rush"}}})
 	st.Freeze()
 
 	got := roundTrip(t, WALRecord{Kind: KindSummary, Key: st.Key, Summary: st})

@@ -71,6 +71,11 @@ type WALRecord struct {
 	// Obsolete records remain in the log for auditability but are skipped by
 	// rollups.
 	Obsolete bool
+	// Kept marks a tentative record whose promise was confirmed: a later
+	// record of the same entity carries an OpConfirm op naming this record's
+	// TxnID. It is memory-only — never encoded — and re-derived whenever the
+	// confirming record is installed, so a kept record counts as settled.
+	Kept bool
 
 	// Kind distinguishes appended entity records (the zero value) from
 	// history-rewrite marks and checkpoint summaries.

@@ -185,5 +185,6 @@ func DeleteChild(collection, childID string) Op { return entity.DeleteChild(coll
 // Delete returns an operation tombstoning the entity (a mark, not a removal).
 func Delete() Op { return entity.Delete() }
 
-// Confirm returns an operation confirming previously tentative state.
-func Confirm() Op { return entity.Confirm() }
+// Confirm returns an operation confirming the tentative record written by
+// txnID ("" confirms the state only).
+func Confirm(txnID string) Op { return entity.Confirm(txnID) }
